@@ -7,10 +7,12 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
+#include "mc/seed_schedule.hpp"
 #include "util/parallel.hpp"
 
 namespace hynapse::mc {
@@ -128,41 +130,20 @@ FailureTable FailureTable::build(const FailureAnalyzer& analyzer,
   std::vector<FailureTableRow> rows(vdd_grid.size());
   for (std::size_t r = 0; r < vdd_grid.size(); ++r) rows[r].vdd = vdd_grid[r];
 
-  // Flat (voltage x cell-type x mechanism) job matrix. Every job's seeds are
-  // exactly those the serial per-voltage analyze_6t/analyze_8t calls derived,
-  // so the table is bit-identical for any thread count. Jobs land full
-  // estimates in a scratch matrix; the serial pass below then aggregates the
-  // per-row sampling metadata race-free.
-  constexpr std::size_t kSlots = 5;
+  // Flat (voltage x cell-type x mechanism) job matrix over the seed
+  // schedule analyze_6t/analyze_8t use, so the table is bit-identical for
+  // any thread count. Jobs land full estimates in a scratch matrix; the
+  // serial pass below then aggregates the per-row sampling metadata
+  // race-free.
+  constexpr std::size_t kSlots = std::size(kSeedSchedule);
   const std::uint64_t seed8 = seed ^ 0xabcdefull;
   std::vector<RateEstimate> ests(vdd_grid.size() * kSlots);
   util::parallel_for(
       vdd_grid.size() * kSlots,
       [&](std::size_t j) {
-        const std::size_t r = j / kSlots;
-        const double vdd = rows[r].vdd;
-        switch (j % kSlots) {
-          case 0:
-            ests[j] = analyzer.estimate_6t(Mechanism::read_access, vdd, seed,
-                                           seed + 777);
-            break;
-          case 1:
-            ests[j] = analyzer.estimate_6t(Mechanism::write, vdd, seed + 101,
-                                           seed + 778);
-            break;
-          case 2:
-            ests[j] = analyzer.estimate_6t(Mechanism::read_disturb, vdd,
-                                           seed + 202, seed + 779);
-            break;
-          case 3:
-            ests[j] = analyzer.estimate_8t(Mechanism::read_access, vdd, seed8,
-                                           seed8 + 555);
-            break;
-          case 4:
-            ests[j] = analyzer.estimate_8t(Mechanism::write, vdd, seed8 + 131,
-                                           seed8 + 556);
-            break;
-        }
+        const ScheduledEstimate& job = kSeedSchedule[j % kSlots];
+        ests[j] = run_scheduled(analyzer, job, rows[j / kSlots].vdd,
+                                job.cell8 ? seed8 : seed);
       },
       analyzer.options().threads);
   for (std::size_t r = 0; r < vdd_grid.size(); ++r) {

@@ -1,8 +1,12 @@
 #include "mc/montecarlo.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
+#include <utility>
 
+#include "mc/seed_schedule.hpp"
 #include "obs/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
@@ -11,38 +15,262 @@ namespace hynapse::mc {
 
 namespace {
 
-// Deterministic per-chunk seeding: the sample stream is split into a fixed
-// number of chunks whose seeds derive only from (seed, chunk index), so the
-// result is identical for any thread count.
+// ---- the sampling core -----------------------------------------------------
+// Every estimator runs through sample_chunks: a fixed grid of chunks, each
+// drawing per_chunk samples from its own Rng stream into an accumulator, with
+// the partials folded in ascending chunk order (parallel_reduce). The chunk
+// grid and the streams depend only on the seed, so every result is
+// bit-identical for any thread count. Two stream layouts exist:
+//  - fixed (plain_mc_*, importance_*, the fixed path): kChunks = 64 chunks,
+//    chunk c seeded from chunk_seed(seed, c) -- fixed_stream();
+//  - batch (one adaptive batch): kBatchChunks = 16 chunks sharing the Rng
+//    seeded from chunk_seed(seed, batch index), chunk c jumped ahead by
+//    c * 2^44 draws so chunk streams never overlap -- BatchedPhase::step().
+
 constexpr std::size_t kChunks = 64;
+constexpr std::size_t kBatchChunks = 16;
+constexpr std::uint64_t kChunkStride = 1ull << 44;
 
 std::uint64_t chunk_seed(std::uint64_t seed, std::size_t chunk) {
   std::uint64_t s = seed ^ (0x9e3779b97f4a7c15ull * (chunk + 1));
   return util::splitmix64(s);
 }
 
-RateEstimate finish_mc(std::size_t hits, std::size_t n) {
+/// The one sampling kernel: chunk c draws per_chunk samples from stream(c),
+/// each folded into the chunk's Acc (a hit count or an IsPartial) by
+/// sample(rng, acc).
+template <typename Acc, typename Stream, typename SampleFn>
+Acc sample_chunks(std::size_t chunks, const Stream& stream,
+                  std::size_t per_chunk, const SampleFn& sample,
+                  std::size_t threads) {
+  return util::parallel_reduce(
+      chunks, chunks, Acc{},
+      [&](std::size_t begin, std::size_t end) {
+        Acc acc{};
+        for (std::size_t c = begin; c < end; ++c) {
+          util::Rng rng = stream(c);
+          for (std::size_t s = 0; s < per_chunk; ++s) sample(rng, acc);
+        }
+        return acc;
+      },
+      [](Acc a, const Acc& b) { return a += b; }, threads);
+}
+
+auto fixed_stream(std::uint64_t seed) {
+  return [seed](std::size_t c) { return util::Rng{chunk_seed(seed, c)}; };
+}
+
+// ---- cells and limit states ------------------------------------------------
+
+/// Everything that differs between the 6T and 8T analyses.
+struct Cell6T {
+  static constexpr std::size_t kDevices = k6t_devices;
+  static constexpr auto sample = &VariationSampler::sample_6t;
+  static constexpr auto pack = &VariationSampler::pack_6t;
+  static constexpr auto sigmas = &VariationSampler::sigmas_6t;
+  static constexpr auto metric = &FailureCriteria::metric_6t;
+};
+
+struct Cell8T {
+  static constexpr std::size_t kDevices = k8t_devices;
+  static constexpr auto sample = &VariationSampler::sample_8t;
+  static constexpr auto pack = &VariationSampler::pack_8t;
+  static constexpr auto sigmas = &VariationSampler::sigmas_8t;
+  static constexpr auto metric = &FailureCriteria::metric_8t;
+};
+
+/// One limit state of one cell type (positive = fail). hit() is the plain-MC
+/// predicate on a fresh sample; metric() evaluates a flat dVT vector for
+/// importance sampling. The metric is a template argument, not a
+/// std::function, so the sampling loops inline it.
+template <typename Cell, typename Metric>
+struct LimitState {
+  static constexpr std::size_t kDevices = Cell::kDevices;
+  using Vector = std::array<double, kDevices>;
+
+  const VariationSampler& sampler;
+  Metric fails;
+
+  bool hit(util::Rng& rng) const {
+    return fails((sampler.*Cell::sample)(rng)) > 0.0;
+  }
+  double metric(const Vector& dvt) const { return fails(Cell::pack(dvt)); }
+  const Vector& sigmas() const { return (sampler.*Cell::sigmas)(); }
+};
+
+/// The limit state of a read/write mechanism at vdd.
+template <typename Cell>
+auto mechanism(const FailureCriteria& criteria, const VariationSampler& sampler,
+               Mechanism m, double vdd) {
+  const auto fails = [&criteria, m, vdd](const auto& var) {
+    return (criteria.*Cell::metric)(m, var, vdd);
+  };
+  return LimitState<Cell, decltype(fails)>{sampler, fails};
+}
+
+// ---- plain MC --------------------------------------------------------------
+
+template <typename LS>
+auto hit_counter(const LS& ls) {
+  return [&ls](util::Rng& rng, std::size_t& hits) {
+    if (ls.hit(rng)) ++hits;
+  };
+}
+
+RateEstimate mc_estimate(std::size_t hits, std::size_t trials,
+                         util::Interval ci) {
   RateEstimate r;
-  r.trials = n;
+  r.trials = trials;
   r.hits = static_cast<double>(hits);
-  r.p = static_cast<double>(hits) / static_cast<double>(n);
-  const auto ci = util::wilson_interval(hits, n);
+  r.p = static_cast<double>(hits) / static_cast<double>(trials);
   r.ci_lo = ci.lo;
   r.ci_hi = ci.hi;
-  r.total_samples = n;
+  r.total_samples = trials;
   return r;
 }
 
-// ---- adaptive (CI-targeted) sampling ---------------------------------------
-// docs/adaptive_mc.md. Each batch is decomposed into kBatchChunks chunks;
-// chunk c's stream is the batch's base Rng (seeded from (seed, batch index))
-// jumped ahead by c * kChunkStride draws, so chunk streams never overlap and
-// the batch result is bit-identical for any thread count. Batch sizes are a
-// pure function of the policy and the deterministic cumulative (hits, trials)
-// sequence, which makes the stopping decisions thread-count invariant too.
+template <typename LS>
+RateEstimate plain_mc(const LS& ls, std::size_t n, std::uint64_t seed,
+                      std::size_t threads) {
+  const std::size_t per_chunk = (n + kChunks - 1) / kChunks;
+  const std::size_t trials = per_chunk * kChunks;
+  const std::size_t hits = sample_chunks<std::size_t>(
+      kChunks, fixed_stream(seed), per_chunk, hit_counter(ls), threads);
+  return mc_estimate(hits, trials, util::wilson_interval(hits, trials));
+}
 
-constexpr std::size_t kBatchChunks = 16;
-constexpr std::uint64_t kChunkStride = 1ull << 44;
+// ---- importance sampling ---------------------------------------------------
+
+/// The IS mean shift, and the only place the proposal is chosen: beta sigmas
+/// along the normalized central-difference gradient (+-0.5 sigma per device)
+/// of the limit state at the origin, in standardized coordinates. nullopt
+/// when the metric is flat there.
+template <typename LS>
+std::optional<typename LS::Vector> mean_shift(const LS& ls, double beta) {
+  const typename LS::Vector& sigmas = ls.sigmas();
+  typename LS::Vector grad{};
+  double norm = 0.0;
+  for (std::size_t i = 0; i < LS::kDevices; ++i) {
+    typename LS::Vector plus{};
+    typename LS::Vector minus{};
+    plus[i] = 0.5 * sigmas[i];
+    minus[i] = -0.5 * sigmas[i];
+    grad[i] = ls.metric(plus) - ls.metric(minus);
+    norm += grad[i] * grad[i];
+  }
+  norm = std::sqrt(norm);
+  if (norm <= 0.0) return std::nullopt;
+  typename LS::Vector mu{};
+  for (std::size_t i = 0; i < LS::kDevices; ++i) mu[i] = beta * grad[i] / norm;
+  return mu;
+}
+
+/// Per-chunk partial of the weighted importance-sampling estimator.
+struct IsPartial {
+  double sum_w = 0.0;
+  double sum_w2 = 0.0;
+  std::size_t hits = 0;
+
+  IsPartial& operator+=(const IsPartial& o) {
+    sum_w += o.sum_w;
+    sum_w2 += o.sum_w2;
+    hits += o.hits;
+    return *this;
+  }
+};
+
+/// One IS draw: x = mu + z (z ~ N(0, I), back to volts per device); a hit is
+/// weighted by the likelihood ratio exp(-mu.x + beta^2 / 2).
+template <typename LS>
+auto weighted_hits(const LS& ls, const typename LS::Vector& mu, double beta) {
+  return [&ls, &mu, mu_sq = beta * beta](util::Rng& rng, IsPartial& part) {
+    const typename LS::Vector& sigmas = ls.sigmas();
+    typename LS::Vector x{};
+    double dot = 0.0;
+    for (std::size_t i = 0; i < LS::kDevices; ++i) {
+      const double z = rng.normal();
+      const double xi = mu[i] + z;
+      dot += mu[i] * xi;
+      x[i] = xi * sigmas[i];
+    }
+    if (ls.metric(x) > 0.0) {
+      const double w = std::exp(-dot + 0.5 * mu_sq);
+      part.sum_w += w;
+      part.sum_w2 += w * w;
+      ++part.hits;
+    }
+  };
+}
+
+/// The weighted estimate over `trials` draws and its delta-method standard
+/// error.
+std::pair<double, double> is_moments(const IsPartial& sum,
+                                     std::size_t trials) {
+  const double total = static_cast<double>(trials);
+  const double p = sum.sum_w / total;
+  const double var = std::max(0.0, sum.sum_w2 / total - p * p) / total;
+  return {p, std::sqrt(var)};
+}
+
+RateEstimate is_estimate(const IsPartial& sum, std::size_t trials, double z) {
+  const auto [p, se] = is_moments(sum, trials);
+  RateEstimate r;
+  r.p = p;
+  r.ci_lo = std::max(0.0, p - z * se);
+  r.ci_hi = std::min(1.0, p + z * se);
+  r.trials = trials;
+  r.hits = static_cast<double>(sum.hits);
+  r.total_samples = trials;
+  r.importance_sampled = true;
+  return r;
+}
+
+/// IS answer for a limit state insensitive to variation: the nominal
+/// verdict only.
+template <typename LS>
+RateEstimate nominal_verdict(const LS& ls, std::size_t trials) {
+  RateEstimate r;
+  r.p = ls.metric(typename LS::Vector{}) > 0.0 ? 1.0 : 0.0;
+  r.ci_lo = r.p;
+  r.ci_hi = r.p;
+  r.trials = trials;
+  r.total_samples = trials;
+  r.importance_sampled = true;
+  return r;
+}
+
+template <typename LS>
+RateEstimate importance(const LS& ls, std::size_t n, double beta,
+                        std::uint64_t seed, std::size_t threads) {
+  const auto mu = mean_shift(ls, beta);
+  if (!mu) return nominal_verdict(ls, n);
+  const std::size_t per_chunk = (n + kChunks - 1) / kChunks;
+  const IsPartial sum =
+      sample_chunks<IsPartial>(kChunks, fixed_stream(seed), per_chunk,
+                               weighted_hits(ls, *mu, beta), threads);
+  return is_estimate(sum, per_chunk * kChunks, 1.96);
+}
+
+/// The fixed-sample path: plain MC, re-estimated by importance sampling when
+/// it saw fewer than min_hits_for_mc hits. The plain-MC samples stay in the
+/// ledger (total_samples, batches).
+template <typename LS>
+RateEstimate fixed_estimate(const LS& ls, const AnalyzerOptions& opts,
+                            std::uint64_t mc_seed, std::uint64_t is_seed) {
+  RateEstimate est = plain_mc(ls, opts.mc_samples, mc_seed, opts.threads);
+  if (est.hits >= static_cast<double>(opts.min_hits_for_mc)) return est;
+  const std::size_t mc_spent = est.total_samples;
+  est = importance(ls, opts.is_samples, opts.is_beta, is_seed, opts.threads);
+  est.total_samples += mc_spent;
+  ++est.batches;
+  return est;
+}
+
+// ---- adaptive (CI-targeted) sampling ---------------------------------------
+// docs/adaptive_mc.md. Batch sizes are a pure function of the policy and the
+// deterministic cumulative (hits, trials) sequence, and every batch draws
+// from its own batch streams, so the stopping decisions and the estimate are
+// thread-count invariant too.
 
 /// Process-wide adaptive-sampler counters (obs naming: mc.adaptive.*).
 struct AdaptiveInstruments {
@@ -123,40 +351,44 @@ bool target_met(const ResolvedPolicy& pol, double p, double half_width) {
   return target > 0.0 && half_width <= target;
 }
 
-/// Next batch's chunk count: geometric request, clamped so the cumulative
-/// trial count can never exceed the hard max clamp. 0 means the budget has
-/// fewer than kBatchChunks trials left -- stop.
-std::size_t next_per_chunk(double requested, std::size_t trials,
-                           std::size_t max_total) {
-  const std::size_t want = std::min<std::size_t>(
-      static_cast<std::size_t>(requested), max_total - trials);
-  std::size_t per_chunk = (want + kBatchChunks - 1) / kBatchChunks;
-  if (trials + per_chunk * kBatchChunks > max_total) {
-    per_chunk = (max_total - trials) / kBatchChunks;
-  }
-  return per_chunk;
-}
+/// One batched phase (plain MC or IS) of the adaptive path: requests start
+/// at the first batch size and grow geometrically, clamped so the phase
+/// never exceeds max_total trials.
+struct BatchedPhase {
+  std::uint64_t seed;
+  std::size_t max_total;
+  double growth;
+  std::size_t threads;
+  double next_batch;
+  std::size_t trials = 0;
+  std::size_t batches = 0;
 
-template <typename HitFn>
-std::size_t run_mc_batch(std::uint64_t seed, std::size_t batch,
-                         std::size_t per_chunk, const HitFn& hit,
-                         std::size_t threads) {
-  const util::Rng base{chunk_seed(seed, batch)};
-  return util::parallel_reduce(
-      kBatchChunks, kBatchChunks, std::size_t{0},
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t h = 0;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng = base;
-          rng.discard(static_cast<std::uint64_t>(c) * kChunkStride);
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            if (hit(rng)) ++h;
-          }
-        }
-        return h;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; }, threads);
-}
+  /// The one batch step: draws the next batch into acc. Returns false,
+  /// drawing nothing, once fewer than kBatchChunks trials of the budget are
+  /// left.
+  template <typename Acc, typename SampleFn>
+  bool step(const SampleFn& sample, Acc& acc) {
+    if (trials >= max_total) return false;
+    const std::size_t want = std::min<std::size_t>(
+        static_cast<std::size_t>(next_batch), max_total - trials);
+    std::size_t per_chunk = (want + kBatchChunks - 1) / kBatchChunks;
+    if (trials + per_chunk * kBatchChunks > max_total) {
+      per_chunk = (max_total - trials) / kBatchChunks;
+    }
+    if (per_chunk == 0) return false;
+    const util::Rng base{chunk_seed(seed, batches)};
+    const auto stream = [&base](std::size_t c) {
+      util::Rng rng = base;
+      rng.discard(static_cast<std::uint64_t>(c) * kChunkStride);
+      return rng;
+    };
+    acc += sample_chunks<Acc>(kBatchChunks, stream, per_chunk, sample, threads);
+    trials += per_chunk * kBatchChunks;
+    ++batches;
+    next_batch *= growth;
+    return true;
+  }
+};
 
 void record_adaptive(const AnalyzerOptions& opts, const RateEstimate& r) {
   AdaptiveInstruments& in = AdaptiveInstruments::get();
@@ -168,209 +400,33 @@ void record_adaptive(const AnalyzerOptions& opts, const RateEstimate& r) {
   if (!r.converged) in.ci_misses.add(1);
 }
 
-// Per-chunk partial of the weighted importance-sampling estimator. Partials
-// are folded in ascending chunk order by parallel_reduce, reproducing the
-// serial accumulation order bit-for-bit.
-struct IsPartial {
-  double sum_w = 0.0;
-  double sum_w2 = 0.0;
-  std::size_t hits = 0;
-};
-
-template <std::size_t D, typename MetricFn>
-RateEstimate importance_sample(const MetricFn& metric,
-                               const std::array<double, D>& sigmas,
-                               std::size_t n, double beta, std::uint64_t seed,
-                               std::size_t threads) {
-  // Dominant failure direction from central differences at the origin,
-  // expressed in standardized coordinates (one step = one sigma).
-  std::array<double, D> grad{};
-  double norm = 0.0;
-  for (std::size_t i = 0; i < D; ++i) {
-    std::array<double, D> plus{};
-    std::array<double, D> minus{};
-    plus[i] = 0.5 * sigmas[i];
-    minus[i] = -0.5 * sigmas[i];
-    grad[i] = metric(plus) - metric(minus);
-    norm += grad[i] * grad[i];
-  }
-  norm = std::sqrt(norm);
-  RateEstimate r;
-  r.trials = n;
-  r.importance_sampled = true;
-  if (norm <= 0.0) {
-    // Metric insensitive to variation at this voltage: nominal verdict only.
-    std::array<double, D> origin{};
-    r.p = metric(origin) > 0.0 ? 1.0 : 0.0;
-    r.ci_lo = r.p;
-    r.ci_hi = r.p;
-    r.total_samples = r.trials;
-    return r;
-  }
-  std::array<double, D> mu{};  // standardized shift
-  for (std::size_t i = 0; i < D; ++i) mu[i] = beta * grad[i] / norm;
-  const double mu_sq = beta * beta;
-
-  const std::size_t per_chunk = (n + kChunks - 1) / kChunks;
-  const IsPartial sum = util::parallel_reduce(
-      kChunks, kChunks, IsPartial{},
-      [&](std::size_t begin, std::size_t end) {
-        IsPartial part;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng{chunk_seed(seed, c)};
-          std::array<double, D> x{};
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            double dot = 0.0;
-            for (std::size_t i = 0; i < D; ++i) {
-              const double z = rng.normal();
-              const double xi = mu[i] + z;
-              dot += mu[i] * xi;
-              x[i] = xi * sigmas[i];  // back to volts
-            }
-            if (metric(x) > 0.0) {
-              const double w = std::exp(-dot + 0.5 * mu_sq);
-              part.sum_w += w;
-              part.sum_w2 += w * w;
-              ++part.hits;
-            }
-          }
-        }
-        return part;
-      },
-      [](IsPartial a, IsPartial b) {
-        a.sum_w += b.sum_w;
-        a.sum_w2 += b.sum_w2;
-        a.hits += b.hits;
-        return a;
-      },
-      threads);
-
-  const double total = static_cast<double>(per_chunk * kChunks);
-  const double p = sum.sum_w / total;
-  const double var = std::max(0.0, sum.sum_w2 / total - p * p) / total;
-  const double se = std::sqrt(var);
-  r.p = p;
-  r.ci_lo = std::max(0.0, p - 1.96 * se);
-  r.ci_hi = std::min(1.0, p + 1.96 * se);
-  r.trials = static_cast<std::size_t>(total);
-  r.hits = static_cast<double>(sum.hits);
-  r.total_samples = r.trials;
-  return r;
-}
-
-template <std::size_t D, typename MetricFn>
-IsPartial run_is_batch(std::uint64_t seed, std::size_t batch,
-                       std::size_t per_chunk, const MetricFn& metric,
-                       const std::array<double, D>& sigmas,
-                       const std::array<double, D>& mu, double mu_sq,
-                       std::size_t threads) {
-  const util::Rng base{chunk_seed(seed, batch)};
-  return util::parallel_reduce(
-      kBatchChunks, kBatchChunks, IsPartial{},
-      [&](std::size_t begin, std::size_t end) {
-        IsPartial part;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng = base;
-          rng.discard(static_cast<std::uint64_t>(c) * kChunkStride);
-          std::array<double, D> x{};
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            double dot = 0.0;
-            for (std::size_t i = 0; i < D; ++i) {
-              const double z = rng.normal();
-              const double xi = mu[i] + z;
-              dot += mu[i] * xi;
-              x[i] = xi * sigmas[i];
-            }
-            if (metric(x) > 0.0) {
-              const double w = std::exp(-dot + 0.5 * mu_sq);
-              part.sum_w += w;
-              part.sum_w2 += w * w;
-              ++part.hits;
-            }
-          }
-        }
-        return part;
-      },
-      [](IsPartial a, IsPartial b) {
-        a.sum_w += b.sum_w;
-        a.sum_w2 += b.sum_w2;
-        a.hits += b.hits;
-        return a;
-      },
-      threads);
-}
-
-/// Importance-sampled tail phase of the adaptive path: same mean-shifted
-/// estimator as importance_sample, run in growing batches until the
-/// delta-method CI meets the policy target or the IS clamp is spent.
-template <std::size_t D, typename MetricFn>
-RateEstimate adaptive_importance(const MetricFn& metric,
-                                 const std::array<double, D>& sigmas,
-                                 const ResolvedPolicy& pol, double beta,
-                                 std::uint64_t seed, std::size_t threads) {
-  std::array<double, D> grad{};
-  double norm = 0.0;
-  for (std::size_t i = 0; i < D; ++i) {
-    std::array<double, D> plus{};
-    std::array<double, D> minus{};
-    plus[i] = 0.5 * sigmas[i];
-    minus[i] = -0.5 * sigmas[i];
-    grad[i] = metric(plus) - metric(minus);
-    norm += grad[i] * grad[i];
-  }
-  norm = std::sqrt(norm);
-  RateEstimate r;
-  r.importance_sampled = true;
-  if (norm <= 0.0) {
-    std::array<double, D> origin{};
-    r.p = metric(origin) > 0.0 ? 1.0 : 0.0;
-    r.ci_lo = r.p;
-    r.ci_hi = r.p;
+/// Importance-sampled tail phase of the adaptive path: the fixed path's
+/// mean-shifted estimator, run in growing batches until the delta-method CI
+/// meets the policy target or the IS clamp is spent.
+template <typename LS>
+RateEstimate adaptive_importance(const LS& ls, const ResolvedPolicy& pol,
+                                 double beta, std::uint64_t seed,
+                                 std::size_t threads) {
+  const auto mu = mean_shift(ls, beta);
+  if (!mu) {
+    RateEstimate r = nominal_verdict(ls, 0);
     r.batches = 0;
     return r;
   }
-  std::array<double, D> mu{};
-  for (std::size_t i = 0; i < D; ++i) mu[i] = beta * grad[i] / norm;
-  const double mu_sq = beta * beta;
-
-  double sum_w = 0.0;
-  double sum_w2 = 0.0;
-  std::size_t raw_hits = 0;
-  std::size_t trials = 0;
-  std::size_t batches = 0;
+  const auto sample = weighted_hits(ls, *mu, beta);
+  BatchedPhase is{seed, pol.max_is, pol.growth, threads,
+                  static_cast<double>(pol.batch0)};
+  IsPartial sum;
   bool converged = false;
-  double next_batch = static_cast<double>(pol.batch0);
-  double p = 0.0;
-  double se = 0.0;
-  while (trials < pol.max_is) {
-    const std::size_t per_chunk = next_per_chunk(next_batch, trials,
-                                                 pol.max_is);
-    if (per_chunk == 0) break;
-    const IsPartial part = run_is_batch<D>(seed, batches, per_chunk, metric,
-                                           sigmas, mu, mu_sq, threads);
-    sum_w += part.sum_w;
-    sum_w2 += part.sum_w2;
-    raw_hits += part.hits;
-    trials += per_chunk * kBatchChunks;
-    ++batches;
-    next_batch *= pol.growth;
-
-    const double total = static_cast<double>(trials);
-    p = sum_w / total;
-    const double var = std::max(0.0, sum_w2 / total - p * p) / total;
-    se = std::sqrt(var);
+  while (is.step(sample, sum)) {
+    const auto [p, se] = is_moments(sum, is.trials);
     if (target_met(pol, p, pol.z * se)) {
       converged = true;
       break;
     }
   }
-  r.p = p;
-  r.ci_lo = std::max(0.0, p - pol.z * se);
-  r.ci_hi = std::min(1.0, p + pol.z * se);
-  r.trials = trials;
-  r.hits = static_cast<double>(raw_hits);
-  r.total_samples = trials;
-  r.batches = batches;
+  RateEstimate r = is_estimate(sum, is.trials, pol.z);
+  r.batches = is.batches;
   r.converged = converged;
   return r;
 }
@@ -380,110 +436,109 @@ RateEstimate adaptive_importance(const MetricFn& metric,
 /// after tail_escape trials, when the CI upper bound on p projects fewer
 /// than min_hits_for_mc hits over the full plain-MC budget (or when the
 /// budget runs out still hit-starved).
-template <std::size_t D, typename HitFn, typename MetricFn>
-RateEstimate adaptive_estimate(const AnalyzerOptions& opts, const HitFn& hit,
-                               const MetricFn& metric,
-                               const std::array<double, D>& sigmas,
+template <typename LS>
+RateEstimate adaptive_estimate(const LS& ls, const AnalyzerOptions& opts,
                                std::uint64_t mc_seed, std::uint64_t is_seed) {
   const ResolvedPolicy pol = resolve_policy(opts);
+  const auto sample = hit_counter(ls);
+  BatchedPhase mc{mc_seed, pol.max_mc, pol.growth, opts.threads,
+                  static_cast<double>(pol.batch0)};
   std::size_t hits = 0;
-  std::size_t trials = 0;
-  std::size_t batches = 0;
   bool converged = false;
-  double next_batch = static_cast<double>(pol.batch0);
   util::Interval ci{};
-  while (trials < pol.max_mc) {
-    const std::size_t per_chunk = next_per_chunk(next_batch, trials,
-                                                 pol.max_mc);
-    if (per_chunk == 0) break;
-    hits += run_mc_batch(mc_seed, batches, per_chunk, hit, opts.threads);
-    trials += per_chunk * kBatchChunks;
-    ++batches;
-    next_batch *= pol.growth;
-
-    ci = stopping_interval(pol, hits, trials);
-    if (trials < pol.min_mc) continue;  // hard min clamp: no stopping yet
-    const double p = static_cast<double>(hits) / static_cast<double>(trials);
-    if (hits >= pol.min_hits) {
-      if (target_met(pol, p, 0.5 * (ci.hi - ci.lo))) {
-        converged = true;
-        break;
+  // Samples plain MC until the CI target is met or the budget is spent.
+  // Before the IS escape (resumed == false) the target needs min_hits hits
+  // and a hit-starved rare mechanism escapes instead; after the consistency
+  // guard below (resumed == true) neither applies.
+  const auto run_mc = [&](bool resumed) {
+    while (mc.step(sample, hits)) {
+      ci = stopping_interval(pol, hits, mc.trials);
+      if (mc.trials < pol.min_mc) continue;  // hard min clamp: no stopping
+      const double p =
+          static_cast<double>(hits) / static_cast<double>(mc.trials);
+      if (resumed || hits >= pol.min_hits) {
+        if (target_met(pol, p, 0.5 * (ci.hi - ci.lo))) {
+          converged = true;
+          return;
+        }
+      } else if (mc.trials >= pol.tail_escape &&
+                 ci.hi * static_cast<double>(pol.max_mc) <
+                     1.5 * static_cast<double>(pol.min_hits)) {
+        // Demonstrably rare: even p at its CI upper bound projects into the
+        // fixed path's own IS-fallback region (under min_hits over the FULL
+        // plain-MC budget, with 1.5x slack because ci.hi is already a
+        // conservative upper-confidence bound), so the mechanism is beyond
+        // plain-MC reach and the budget is better spent on the IS tail. (A
+        // merely hit-starved mechanism -- say p ~ 2e-3 with ~8 hits in the
+        // escape window -- fails this test by an order of magnitude and
+        // keeps sampling plain MC, where its estimate is unbiased; the IS
+        // mean-shift is tuned for far-tail rates and is the wrong tool
+        // there.)
+        return;
       }
-    } else if (trials >= pol.tail_escape &&
-               ci.hi * static_cast<double>(pol.max_mc) <
-                   1.5 * static_cast<double>(pol.min_hits)) {
-      // Demonstrably rare: even p at its CI upper bound projects into the
-      // fixed path's own IS-fallback region (under min_hits over the FULL
-      // plain-MC budget, with 1.5x slack because ci.hi is already a
-      // conservative upper-confidence bound), so the mechanism is beyond
-      // plain-MC reach and the budget is better spent on the IS tail. (A
-      // merely hit-starved mechanism -- say p ~ 2e-3 with ~8 hits in the
-      // escape window -- fails this test by an order of magnitude and keeps
-      // sampling plain MC, where its estimate is unbiased; the IS
-      // mean-shift is tuned for far-tail rates and is the wrong tool
-      // there.)
-      break;
     }
-  }
-
-  if (hits >= pol.min_hits) {
-    RateEstimate r;
-    r.p = static_cast<double>(hits) / static_cast<double>(trials);
-    r.ci_lo = ci.lo;
-    r.ci_hi = ci.hi;
-    r.trials = trials;
-    r.hits = static_cast<double>(hits);
-    r.total_samples = trials;
-    r.batches = batches;
+  };
+  const auto mc_result = [&] {
+    RateEstimate r = mc_estimate(hits, mc.trials, ci);
+    r.batches = mc.batches;
     r.converged = converged;
+    return r;
+  };
+
+  run_mc(false);
+  if (hits >= pol.min_hits) {
+    const RateEstimate r = mc_result();
     record_adaptive(opts, r);
     return r;
   }
 
-  RateEstimate r = adaptive_importance<D>(metric, sigmas, pol, opts.is_beta,
-                                          is_seed, opts.threads);
+  RateEstimate r =
+      adaptive_importance(ls, pol, opts.is_beta, is_seed, opts.threads);
   // Consistency guard: the escape was a projection from sparse evidence. If
   // the IS answer falls below even the lower confidence bound of the plain-MC
   // hits already observed, the mean-shift missed the dominant failure region
   // (its moderate-p bias, not a tail) -- discard it and resume plain MC,
   // whose estimate is unbiased at any rate. Genuine tail escapes observe
   // zero hits and are untouched. Depends only on deterministic counts, so
-  // thread-count invariance is preserved.
-  if (hits > 0 && r.p < stopping_interval(pol, hits, trials).lo) {
-    while (trials < pol.max_mc) {
-      const std::size_t per_chunk = next_per_chunk(next_batch, trials,
-                                                   pol.max_mc);
-      if (per_chunk == 0) break;
-      hits += run_mc_batch(mc_seed, batches, per_chunk, hit, opts.threads);
-      trials += per_chunk * kBatchChunks;
-      ++batches;
-      next_batch *= pol.growth;
-      ci = stopping_interval(pol, hits, trials);
-      const double p = static_cast<double>(hits) / static_cast<double>(trials);
-      if (target_met(pol, p, 0.5 * (ci.hi - ci.lo))) {
-        converged = true;
-        break;
-      }
-    }
-    RateEstimate mc;
-    mc.p = static_cast<double>(hits) / static_cast<double>(trials);
-    mc.ci_lo = ci.lo;
-    mc.ci_hi = ci.hi;
-    mc.trials = trials;
-    mc.hits = static_cast<double>(hits);
-    mc.total_samples = trials + r.trials;
-    mc.batches = batches + r.batches;
-    mc.converged = converged;
-    record_adaptive(opts, mc);
-    return mc;
+  // thread-count invariance is preserved. (mc.trials >= min_mc here, so the
+  // resumed loop's min clamp never fires.)
+  if (hits > 0 && r.p < stopping_interval(pol, hits, mc.trials).lo) {
+    run_mc(true);
+    RateEstimate resumed = mc_result();
+    resumed.total_samples += r.trials;
+    resumed.batches += r.batches;
+    record_adaptive(opts, resumed);
+    return resumed;
   }
-  r.total_samples += trials;
-  r.batches += batches;
+  r.total_samples += mc.trials;
+  r.batches += mc.batches;
   record_adaptive(opts, r);
   return r;
 }
 
+template <typename LS>
+RateEstimate estimate(const LS& ls, const AnalyzerOptions& opts,
+                      std::uint64_t mc_seed, std::uint64_t is_seed) {
+  return opts.adaptive.enabled ? adaptive_estimate(ls, opts, mc_seed, is_seed)
+                               : fixed_estimate(ls, opts, mc_seed, is_seed);
+}
+
+CellFailureRates analyze(const FailureAnalyzer& analyzer, bool cell8,
+                         double vdd, std::uint64_t seed) {
+  CellFailureRates out;
+  out.read_disturb.trials = analyzer.options().mc_samples;  // 8T: impossible
+  for (const ScheduledEstimate& job : kSeedSchedule) {
+    if (job.cell8 == cell8) {
+      out.*job.rate = run_scheduled(analyzer, job, vdd, seed);
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+// Every public estimator forwards to the templates above, instantiated for
+// the cell's traits.
 
 FailureAnalyzer::FailureAnalyzer(const FailureCriteria& criteria,
                                  const VariationSampler& sampler,
@@ -493,175 +548,76 @@ FailureAnalyzer::FailureAnalyzer(const FailureCriteria& criteria,
 RateEstimate FailureAnalyzer::plain_mc_6t(Mechanism m, double vdd,
                                           std::size_t n,
                                           std::uint64_t seed) const {
-  const std::size_t per_chunk = (n + kChunks - 1) / kChunks;
-  const std::size_t hits = util::parallel_reduce(
-      kChunks, kChunks, std::size_t{0},
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t h = 0;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng{chunk_seed(seed, c)};
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            const circuit::Variation6T var = sampler_->sample_6t(rng);
-            if (criteria_->metric_6t(m, var, vdd) > 0.0) ++h;
-          }
-        }
-        return h;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; }, opts_.threads);
-  return finish_mc(hits, per_chunk * kChunks);
+  return plain_mc(mechanism<Cell6T>(*criteria_, *sampler_, m, vdd), n, seed,
+                  opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::plain_mc_8t(Mechanism m, double vdd,
                                           std::size_t n,
                                           std::uint64_t seed) const {
-  const std::size_t per_chunk = (n + kChunks - 1) / kChunks;
-  const std::size_t hits = util::parallel_reduce(
-      kChunks, kChunks, std::size_t{0},
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t h = 0;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng{chunk_seed(seed, c)};
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            const circuit::Variation8T var = sampler_->sample_8t(rng);
-            if (criteria_->metric_8t(m, var, vdd) > 0.0) ++h;
-          }
-        }
-        return h;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; }, opts_.threads);
-  return finish_mc(hits, per_chunk * kChunks);
+  return plain_mc(mechanism<Cell8T>(*criteria_, *sampler_, m, vdd), n, seed,
+                  opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::importance_6t(Mechanism m, double vdd,
                                             std::size_t n,
                                             std::uint64_t seed) const {
-  const auto metric = [&](const std::array<double, k6t_devices>& dvt) {
-    return criteria_->metric_6t(m, VariationSampler::pack_6t(dvt), vdd);
-  };
-  return importance_sample<k6t_devices>(metric, sampler_->sigmas_6t(), n,
-                                        opts_.is_beta, seed, opts_.threads);
+  return importance(mechanism<Cell6T>(*criteria_, *sampler_, m, vdd), n,
+                    opts_.is_beta, seed, opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::importance_8t(Mechanism m, double vdd,
                                             std::size_t n,
                                             std::uint64_t seed) const {
-  const auto metric = [&](const std::array<double, k8t_devices>& dvt) {
-    return criteria_->metric_8t(m, VariationSampler::pack_8t(dvt), vdd);
-  };
-  return importance_sample<k8t_devices>(metric, sampler_->sigmas_8t(), n,
-                                        opts_.is_beta, seed, opts_.threads);
+  return importance(mechanism<Cell8T>(*criteria_, *sampler_, m, vdd), n,
+                    opts_.is_beta, seed, opts_.threads);
 }
 
 RateEstimate FailureAnalyzer::retention_6t(double v_standby,
                                            std::uint64_t seed) const {
-  // Plain MC on the hold limit-state.
-  const std::size_t per_chunk = (opts_.mc_samples + kChunks - 1) / kChunks;
-  const std::size_t hits = util::parallel_reduce(
-      kChunks, kChunks, std::size_t{0},
-      [&](std::size_t begin, std::size_t end) {
-        std::size_t h = 0;
-        for (std::size_t c = begin; c < end; ++c) {
-          util::Rng rng{chunk_seed(seed, c)};
-          for (std::size_t s = 0; s < per_chunk; ++s) {
-            const circuit::Variation6T var = sampler_->sample_6t(rng);
-            if (criteria_->hold_metric_6t(var, v_standby) > 0.0) ++h;
-          }
-        }
-        return h;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; }, opts_.threads);
-  RateEstimate est = finish_mc(hits, per_chunk * kChunks);
-  if (est.hits >= static_cast<double>(opts_.min_hits_for_mc)) return est;
-
-  const auto metric = [&](const std::array<double, k6t_devices>& dvt) {
-    return criteria_->hold_metric_6t(VariationSampler::pack_6t(dvt),
-                                     v_standby);
+  const auto fails = [this, v_standby](const circuit::Variation6T& var) {
+    return criteria_->hold_metric_6t(var, v_standby);
   };
-  return importance_sample<k6t_devices>(metric, sampler_->sigmas_6t(),
-                                        opts_.is_samples, opts_.is_beta,
-                                        seed ^ 0xfeedull, opts_.threads);
+  return fixed_estimate(LimitState<Cell6T, decltype(fails)>{*sampler_, fails},
+                        opts_, seed, seed ^ 0xfeedull);
 }
 
 RateEstimate FailureAnalyzer::estimate_6t(Mechanism m, double vdd,
                                           std::uint64_t mc_seed,
                                           std::uint64_t is_seed) const {
-  if (opts_.adaptive.enabled) return adaptive_6t(m, vdd, mc_seed, is_seed);
-  RateEstimate est = plain_mc_6t(m, vdd, opts_.mc_samples, mc_seed);
-  if (est.hits < static_cast<double>(opts_.min_hits_for_mc)) {
-    const std::size_t mc_spent = est.total_samples;
-    est = importance_6t(m, vdd, opts_.is_samples, is_seed);
-    est.total_samples += mc_spent;
-    ++est.batches;
-  }
-  return est;
+  return estimate(mechanism<Cell6T>(*criteria_, *sampler_, m, vdd), opts_,
+                  mc_seed, is_seed);
 }
 
 RateEstimate FailureAnalyzer::estimate_8t(Mechanism m, double vdd,
                                           std::uint64_t mc_seed,
                                           std::uint64_t is_seed) const {
-  if (opts_.adaptive.enabled) return adaptive_8t(m, vdd, mc_seed, is_seed);
-  RateEstimate est = plain_mc_8t(m, vdd, opts_.mc_samples, mc_seed);
-  if (est.hits < static_cast<double>(opts_.min_hits_for_mc)) {
-    const std::size_t mc_spent = est.total_samples;
-    est = importance_8t(m, vdd, opts_.is_samples, is_seed);
-    est.total_samples += mc_spent;
-    ++est.batches;
-  }
-  return est;
+  return estimate(mechanism<Cell8T>(*criteria_, *sampler_, m, vdd), opts_,
+                  mc_seed, is_seed);
 }
 
 RateEstimate FailureAnalyzer::adaptive_6t(Mechanism m, double vdd,
                                           std::uint64_t mc_seed,
                                           std::uint64_t is_seed) const {
-  const auto hit = [&](util::Rng& rng) {
-    return criteria_->metric_6t(m, sampler_->sample_6t(rng), vdd) > 0.0;
-  };
-  const auto metric = [&](const std::array<double, k6t_devices>& dvt) {
-    return criteria_->metric_6t(m, VariationSampler::pack_6t(dvt), vdd);
-  };
-  return adaptive_estimate<k6t_devices>(opts_, hit, metric,
-                                        sampler_->sigmas_6t(), mc_seed,
-                                        is_seed);
+  return adaptive_estimate(mechanism<Cell6T>(*criteria_, *sampler_, m, vdd),
+                           opts_, mc_seed, is_seed);
 }
 
 RateEstimate FailureAnalyzer::adaptive_8t(Mechanism m, double vdd,
                                           std::uint64_t mc_seed,
                                           std::uint64_t is_seed) const {
-  const auto hit = [&](util::Rng& rng) {
-    return criteria_->metric_8t(m, sampler_->sample_8t(rng), vdd) > 0.0;
-  };
-  const auto metric = [&](const std::array<double, k8t_devices>& dvt) {
-    return criteria_->metric_8t(m, VariationSampler::pack_8t(dvt), vdd);
-  };
-  return adaptive_estimate<k8t_devices>(opts_, hit, metric,
-                                        sampler_->sigmas_8t(), mc_seed,
-                                        is_seed);
+  return adaptive_estimate(mechanism<Cell8T>(*criteria_, *sampler_, m, vdd),
+                           opts_, mc_seed, is_seed);
 }
 
 CellFailureRates FailureAnalyzer::analyze_6t(double vdd,
                                              std::uint64_t seed) const {
-  CellFailureRates out;
-  const Mechanism mechs[] = {Mechanism::read_access, Mechanism::write,
-                             Mechanism::read_disturb};
-  RateEstimate* slots[] = {&out.read_access, &out.write_fail,
-                           &out.read_disturb};
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    *slots[i] = estimate_6t(mechs[i], vdd, seed + 101 * i, seed + 777 + i);
-  }
-  return out;
+  return analyze(*this, false, vdd, seed);
 }
 
 CellFailureRates FailureAnalyzer::analyze_8t(double vdd,
                                              std::uint64_t seed) const {
-  CellFailureRates out;
-  const Mechanism mechs[] = {Mechanism::read_access, Mechanism::write};
-  RateEstimate* slots[] = {&out.read_access, &out.write_fail};
-  for (std::uint64_t i = 0; i < 2; ++i) {
-    *slots[i] = estimate_8t(mechs[i], vdd, seed + 131 * i, seed + 555 + i);
-  }
-  out.read_disturb = RateEstimate{};  // structurally impossible
-  out.read_disturb.trials = opts_.mc_samples;
-  return out;
+  return analyze(*this, true, vdd, seed);
 }
 
 }  // namespace hynapse::mc

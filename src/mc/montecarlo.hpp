@@ -7,6 +7,12 @@
 // switches to mean-shifted importance sampling along the dominant failure
 // direction in dVT space -- the standard statistical-SRAM-yield technique
 // (cf. Mukhopadhyay et al.), which the paper obtains from brute-force SPICE.
+//
+// Every estimator runs on one sampling core (montecarlo.cpp): one chunked
+// kernel with two stream layouts (64 chunks seeded from (seed, chunk) for the
+// fixed path; 16 jumped-ahead chunks per adaptive batch), one mean-shift
+// helper that picks the IS proposal, one MC -> IS fallback and one adaptive
+// batch step. The 6T and 8T entry points differ only in cell traits.
 #pragma once
 
 #include <cstdint>
@@ -157,8 +163,9 @@ class FailureAnalyzer {
                                            std::size_t n,
                                            std::uint64_t seed) const;
 
-  /// Standby data-retention failure rate at a scaled hold voltage
-  /// (plain MC with an importance-sampled fallback for the tail).
+  /// Standby data-retention failure rate at a scaled hold voltage: the
+  /// fixed path of estimate_6t on the hold limit state (plain MC with an
+  /// importance-sampled fallback for the tail; is_seed = seed ^ 0xfeed).
   [[nodiscard]] RateEstimate retention_6t(double v_standby,
                                           std::uint64_t seed) const;
 

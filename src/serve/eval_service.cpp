@@ -116,6 +116,20 @@ EvalService::~EvalService() {
 }
 
 void EvalService::run_callbacks(FiredCallbacks& fired) {
+  // Settles the in-flight callback count however this returns (a throwing
+  // journal write or callback included), or drain() would wait forever.
+  struct Settle {
+    EvalService& service;
+    std::size_t count;
+    ~Settle() {
+      if (count == 0) return;
+      {
+        const std::scoped_lock lock{service.mutex_};
+        service.callbacks_in_flight_ -= count;
+      }
+      service.cv_done_.notify_all();
+    }
+  } settle{*this, fired.callbacks.size()};
   // Terminal records first: once a completion is observable (the callback
   // ran), its journal record must already be durable-or-buffered, so a
   // recovery never replays work whose result a client acted on.
@@ -386,7 +400,8 @@ bool EvalService::cancel(std::uint64_t id) {
 
 void EvalService::drain() {
   std::unique_lock lock{mutex_};
-  cv_done_.wait(lock, [this] { return pending_ == 0; });
+  cv_done_.wait(lock,
+                [this] { return pending_ == 0 && callbacks_in_flight_ == 0; });
 }
 
 void EvalService::pause() {
@@ -650,6 +665,7 @@ void EvalService::finish_locked(const SlotPtr& slot, RequestStatus status,
     fired.callbacks.emplace_back(std::move(slot->on_complete),
                                  slot->response);
     slot->on_complete = nullptr;
+    ++callbacks_in_flight_;
   }
   cv_done_.notify_all();
 }

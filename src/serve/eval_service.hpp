@@ -197,7 +197,8 @@ class EvalService {
   /// are not interrupted (returns false).
   bool cancel(std::uint64_t id);
 
-  /// Blocks until no request is queued or running.
+  /// Blocks until no request is queued or running and every completion
+  /// callback already fired has returned.
   void drain();
 
   /// Dispatch gate, for deterministic queue shaping (tests, trace replay):
@@ -357,6 +358,9 @@ class EvalService {
   std::uint64_t next_id_ = 1;
   std::uint64_t dispatch_seq_ = 0;
   std::uint64_t pending_ = 0;  ///< queued + running requests
+  /// Completion callbacks armed by finish_locked whose run_callbacks has not
+  /// yet returned; drain() waits for this to reach zero too.
+  std::size_t callbacks_in_flight_ = 0;
   bool paused_ = false;
   bool stop_ = false;
   Totals totals_;

@@ -7,6 +7,7 @@
 #include "ann/serialize.hpp"
 #include "ann/trainer.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace hynapse::ann {
 namespace {
@@ -121,7 +122,7 @@ TEST(Activations, GradientCheckTanhNetwork) {
 
 TEST(Activations, SerializationPreservesActivation) {
   const Mlp net{{4, 6, 2}, 31, Activation::tanh_lecun};
-  const std::string path = "/tmp/hynapse_test_act.bin";
+  const std::string path = hynapse::testing::temp_path("act.bin");
   save_mlp(net, path);
   const auto loaded = load_mlp(path);
   ASSERT_TRUE(loaded.has_value());

@@ -10,6 +10,7 @@
 #include "ann/trainer.hpp"
 #include "ann/workspace.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace hynapse::ann {
 namespace {
@@ -173,7 +174,7 @@ TEST(Trainer, DeterministicForFixedSeeds) {
 
 TEST(Serialize, RoundTripsExactly) {
   const Mlp net{{6, 5, 3}, 23};
-  const std::string path = "/tmp/hynapse_test_model.bin";
+  const std::string path = hynapse::testing::temp_path("model.bin");
   save_mlp(net, path);
   const auto loaded = load_mlp(path);
   ASSERT_TRUE(loaded.has_value());
@@ -186,11 +187,13 @@ TEST(Serialize, RoundTripsExactly) {
 }
 
 TEST(Serialize, MissingFileGivesNullopt) {
-  EXPECT_FALSE(load_mlp("/tmp/definitely_not_here.bin").has_value());
+  EXPECT_FALSE(
+      load_mlp(hynapse::testing::temp_path("definitely_not_here.bin"))
+          .has_value());
 }
 
 TEST(Serialize, RejectsCorruptHeader) {
-  const std::string path = "/tmp/hynapse_test_corrupt.bin";
+  const std::string path = hynapse::testing::temp_path("corrupt.bin");
   {
     std::ofstream out{path, std::ios::binary};
     out << "garbage data that is not a model";

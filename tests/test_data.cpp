@@ -9,6 +9,7 @@
 #include "data/dataset.hpp"
 #include "data/digits.hpp"
 #include "data/idx.hpp"
+#include "temp_path.hpp"
 
 namespace hynapse::data {
 namespace {
@@ -123,7 +124,7 @@ TEST(Dataset, HeadTakesPrefix) {
 
 TEST(Idx, ImagesRoundTrip) {
   const Dataset ds = generate_digits(20, 19);
-  const std::string path = "/tmp/hynapse_test.idx3";
+  const std::string path = hynapse::testing::temp_path("images.idx3");
   write_idx_images(ds.images, kDigitSide, kDigitSide, path);
   const auto loaded = read_idx_images(path);
   ASSERT_TRUE(loaded.has_value());
@@ -137,7 +138,7 @@ TEST(Idx, ImagesRoundTrip) {
 
 TEST(Idx, LabelsRoundTrip) {
   const std::vector<std::uint8_t> labels{3, 1, 4, 1, 5, 9, 2, 6};
-  const std::string path = "/tmp/hynapse_test.idx1";
+  const std::string path = hynapse::testing::temp_path("labels.idx1");
   write_idx_labels(labels, path);
   const auto loaded = read_idx_labels(path);
   ASSERT_TRUE(loaded.has_value());
@@ -147,8 +148,8 @@ TEST(Idx, LabelsRoundTrip) {
 
 TEST(Idx, DatasetPairLoad) {
   const Dataset ds = generate_digits(15, 23);
-  const std::string ip = "/tmp/hynapse_pair.idx3";
-  const std::string lp = "/tmp/hynapse_pair.idx1";
+  const std::string ip = hynapse::testing::temp_path("pair.idx3");
+  const std::string lp = hynapse::testing::temp_path("pair.idx1");
   write_idx_images(ds.images, kDigitSide, kDigitSide, ip);
   write_idx_labels(ds.labels, lp);
   const auto loaded = load_idx_dataset(ip, lp);
@@ -160,8 +161,9 @@ TEST(Idx, DatasetPairLoad) {
 }
 
 TEST(Idx, MissingOrMalformedGivesNullopt) {
-  EXPECT_FALSE(read_idx_images("/tmp/nope.idx3").has_value());
-  const std::string path = "/tmp/hynapse_bad.idx3";
+  EXPECT_FALSE(
+      read_idx_images(hynapse::testing::temp_path("nope.idx3")).has_value());
+  const std::string path = hynapse::testing::temp_path("bad.idx3");
   {
     std::ofstream out{path, std::ios::binary};
     out << "junk";
@@ -173,7 +175,8 @@ TEST(Idx, MissingOrMalformedGivesNullopt) {
 
 TEST(Idx, WriterRejectsShapeMismatch) {
   const Dataset ds = generate_digits(5, 29);
-  EXPECT_THROW(write_idx_images(ds.images, 10, 10, "/tmp/x.idx3"),
+  EXPECT_THROW(write_idx_images(ds.images, 10, 10,
+                                hynapse::testing::temp_path("x.idx3")),
                std::invalid_argument);
 }
 

@@ -18,6 +18,7 @@
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
 #include "mc/variation.hpp"
+#include "temp_path.hpp"
 
 namespace hynapse::engine {
 namespace {
@@ -297,9 +298,7 @@ TEST(TableFingerprint, SensitiveToInputsButNotThreads) {
 class TableCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/hynapse_test_cache";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = hynapse::testing::fresh_temp_dir("cache");
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
   std::string dir_;

@@ -25,6 +25,7 @@
 #include "ann/mlp.hpp"
 #include "core/quantized_network.hpp"
 #include "data/digits.hpp"
+#include "temp_path.hpp"
 
 namespace hynapse::engine {
 namespace {
@@ -55,9 +56,7 @@ class ShardTest : public ::testing::Test {
         cycle_{tech_, array_, circuit::Bitcell6T{tech_, s6_}},
         sampler_{tech_, s6_, s8_},
         criteria_{tech_, cycle_, s6_, s8_} {
-    dir_ = "/tmp/hynapse_test_shards";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = hynapse::testing::fresh_temp_dir("shards");
   }
   ~ShardTest() override { std::filesystem::remove_all(dir_); }
 

@@ -13,6 +13,7 @@
 #include "mc/failure_table.hpp"
 #include "mc/montecarlo.hpp"
 #include "mc/variation.hpp"
+#include "temp_path.hpp"
 
 namespace hynapse::mc {
 namespace {
@@ -174,7 +175,7 @@ TEST_F(McTest, FailureTableCsvRoundTrip) {
   const FailureAnalyzer analyzer{criteria_, sampler_, fast_opts()};
   const double grid[] = {0.65, 0.80};
   const FailureTable table = FailureTable::build(analyzer, grid, 7);
-  const std::string path = "/tmp/hynapse_test_ftable.csv";
+  const std::string path = hynapse::testing::temp_path("ftable.csv");
   table.save_csv(path);
   const auto loaded = FailureTable::load_csv(path);
   ASSERT_TRUE(loaded.has_value());
@@ -186,7 +187,7 @@ TEST_F(McTest, FailureTableCsvRoundTrip) {
 }
 
 TEST_F(McTest, FailureTableLoadRejectsGarbage) {
-  const std::string path = "/tmp/hynapse_test_badtable.csv";
+  const std::string path = hynapse::testing::temp_path("badtable.csv");
   {
     std::ofstream out{path};
     out << "not,a,table\nstill,not,one\n";
@@ -199,7 +200,7 @@ TEST_F(McTest, FailureTableLoadRejectsGarbage) {
 TEST_F(McTest, FailureTableLoadsV2CsvWithZeroedMetadata) {
   // CSV v2 predates the samples/ci_half_width columns; a v2 cache file must
   // still load, with the metadata zeroed (not rejected, not garbage).
-  const std::string path = "/tmp/hynapse_test_v2table.csv";
+  const std::string path = hynapse::testing::temp_path("v2table.csv");
   {
     std::ofstream out{path};
     out << "# hynapse-failure-table v2 fp=0000000000000000\n"
@@ -221,7 +222,7 @@ TEST_F(McTest, FailureTableLoadsV2CsvWithZeroedMetadata) {
 TEST_F(McTest, FailureTableLoadsV3CsvWithReorderedColumns) {
   // The v3 loader maps columns by name, so a file whose columns were
   // reordered (e.g. by a spreadsheet round trip) still parses correctly.
-  const std::string path = "/tmp/hynapse_test_v3reorder.csv";
+  const std::string path = hynapse::testing::temp_path("v3reorder.csv");
   {
     std::ofstream out{path};
     out << "# hynapse-failure-table v3 fp=0000000000000000\n"
@@ -240,7 +241,7 @@ TEST_F(McTest, FailureTableLoadsV3CsvWithReorderedColumns) {
 }
 
 TEST_F(McTest, FailureTableRejectsBadColumnsAndMetadata) {
-  const std::string path = "/tmp/hynapse_test_v3bad.csv";
+  const std::string path = hynapse::testing::temp_path("v3bad.csv");
   const auto write_and_load = [&](const std::string& header,
                                   const std::string& row) {
     {
@@ -411,9 +412,10 @@ TEST_F(McTest, GoldenRetention) {
   expect_golden(analyzer.retention_6t(0.15, 5),
                 {0x1.2aaaaaaaaaaabp-6, 0x1.9e3f8985cc08ap-7,
                  0x1.ad98064763bf1p-6, 0x1.cp+4, 1536, 1536, 1, false, true});
+  // IS fallback: the 1536 plain-MC samples spent first stay in the ledger.
   expect_golden(analyzer.retention_6t(0.20, 7),
                 {0x1.a2b995479155ep-10, 0x0p+0, 0x1.018699f0b8362p-8,
-                 0x1.acp+7, 1216, 1216, 1, true, true});
+                 0x1.acp+7, 1216, 1216 + 1536, 2, true, true});
 }
 
 TEST_F(McTest, GoldenAnalyzeAndTable) {

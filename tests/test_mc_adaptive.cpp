@@ -15,6 +15,7 @@
 #include "mc/montecarlo.hpp"
 #include "mc/variation.hpp"
 #include "obs/metrics.hpp"
+#include "temp_path.hpp"
 
 namespace hynapse::mc {
 namespace {
@@ -242,7 +243,7 @@ TEST_F(McAdaptiveTest, CsvV3RoundTripPreservesMetadata) {
   const double grid[] = {0.65, 0.80};
   const FailureAnalyzer analyzer{criteria_, sampler_, adaptive_opts()};
   const FailureTable table = FailureTable::build(analyzer, grid, 17);
-  const std::string path = "/tmp/hynapse_test_adaptive_table.csv";
+  const std::string path = hynapse::testing::temp_path("adaptive_table.csv");
   table.save_csv(path, 0xfeedu);
   const auto loaded = FailureTable::load_csv(path, 0xfeedu);
   ASSERT_TRUE(loaded.has_value());

@@ -105,6 +105,18 @@ TEST_F(RetentionMcTest, RetentionFailuresRiseAsStandbyDrops) {
   EXPECT_GT(low.p, 0.0);
 }
 
+TEST_F(RetentionMcTest, FallbackKeepsPlainMcSamplesInTheLedger) {
+  // At 0.20 V the 1500-sample plain-MC phase sees too few hits, so the
+  // importance-sampled fallback answers. Like estimate_6t, the result must
+  // still count the plain-MC samples it spent (rounded up to the 64-chunk
+  // grid) and both phases as batches.
+  const FailureAnalyzer analyzer{criteria_, sampler_, fast()};
+  const RateEstimate est = analyzer.retention_6t(0.20, 7);
+  ASSERT_TRUE(est.importance_sampled);
+  EXPECT_EQ(est.total_samples, est.trials + 1536u);
+  EXPECT_EQ(est.batches, 2u);
+}
+
 TEST_F(RetentionMcTest, RetentionSafeAtOperatingVoltages) {
   const FailureAnalyzer analyzer{criteria_, sampler_, fast()};
   const RateEstimate op = analyzer.retention_6t(0.65, 7);

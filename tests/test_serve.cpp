@@ -18,6 +18,7 @@
 #include "mc/variation.hpp"
 #include "obs/metrics.hpp"
 #include "serve/eval_service.hpp"
+#include "temp_path.hpp"
 
 namespace hynapse::serve {
 namespace {
@@ -277,9 +278,7 @@ TEST_F(EvalServiceTest, SweepGridAndBadConfigFailAreIndependent) {
 }
 
 TEST_F(EvalServiceTest, TableInfoReportsProvenanceAndPersistence) {
-  const std::string dir = "/tmp/hynapse_serve_test_cache";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = hynapse::testing::fresh_temp_dir("cache");
 
   ServiceOptions opts = fast_options();
   opts.cache_dir = dir;
@@ -307,9 +306,7 @@ TEST_F(EvalServiceTest, TableInfoReportsProvenanceAndPersistence) {
 }
 
 TEST_F(EvalServiceTest, TableShardBuildsPersistsAndReplays) {
-  const std::string dir = "/tmp/hynapse_serve_shard_cache";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = hynapse::testing::fresh_temp_dir("shard_cache");
 
   ServiceOptions opts = fast_options();
   opts.cache_dir = dir;

@@ -17,6 +17,7 @@
 #include "serve/eval_service.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
+#include "temp_path.hpp"
 
 namespace hynapse::serve {
 namespace {
@@ -27,13 +28,7 @@ namespace fs = std::filesystem;
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("hynapse_journal_" +
-            std::string{::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()});
-    fs::remove_all(dir_);
-    fs::create_directories(dir_);
+    dir_ = hynapse::testing::fresh_temp_dir("journal");
   }
   void TearDown() override { fs::remove_all(dir_); }
 

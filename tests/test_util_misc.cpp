@@ -9,6 +9,7 @@
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
+#include "temp_path.hpp"
 
 namespace hynapse::util {
 namespace {
@@ -55,7 +56,7 @@ TEST(Csv, EscapesSpecialCharacters) {
 }
 
 TEST(Csv, WritesRoundTrippableFile) {
-  const std::string path = "/tmp/hynapse_test_csv.csv";
+  const std::string path = hynapse::testing::temp_path("csv.csv");
   {
     CsvWriter w{path};
     w.header({"vdd", "rate"});
